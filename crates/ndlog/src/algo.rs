@@ -33,7 +33,7 @@ use crate::error::{NdlogError, Result};
 use crate::storage::RelationStorage;
 use crate::symbols::{RelId, Symbols};
 use crate::value::{SharedTuple, Value};
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 
 /// Extracts the `(source, dest)` pair an edge tuple carries under a shape's
 /// [`EdgePattern`], or `None` when the tuple does not bind the pattern.
@@ -869,6 +869,46 @@ pub struct DijkstraPaths {
 /// Heap entry ordered by ascending cost (ties by path), via `Reverse`.
 type PathState = std::cmp::Reverse<(i64, Vec<u32>)>;
 
+/// The derivable costs of one node sequence, in discovery order: almost
+/// always one, held inline (parallel links of different costs add more).
+struct Costs {
+    first: i64,
+    more: Vec<i64>,
+}
+
+impl Costs {
+    fn new(c: i64) -> Self {
+        Costs {
+            first: c,
+            more: Vec::new(),
+        }
+    }
+
+    fn contains(&self, c: i64) -> bool {
+        self.first == c || self.more.contains(&c)
+    }
+
+    fn insert(&mut self, c: i64) {
+        if !self.contains(c) {
+            self.more.push(c);
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = i64> + '_ {
+        std::iter::once(self.first).chain(self.more.iter().copied())
+    }
+}
+
+/// Record `cost` as derivable for `nodes`.
+fn add_found(found: &mut HashMap<Vec<u32>, Costs>, nodes: Vec<u32>, cost: i64) {
+    match found.entry(nodes) {
+        std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().insert(cost),
+        std::collections::hash_map::Entry::Vacant(e) => {
+            e.insert(Costs::new(cost));
+        }
+    }
+}
+
 impl DijkstraPaths {
     /// Build the operator for a recognized path-vector shape.
     pub fn new(spec: PvSpec) -> Self {
@@ -884,21 +924,24 @@ impl DijkstraPaths {
     /// if any link cost is not an integer (the general engine then owns
     /// the exact semantics, including arithmetic type errors).
     pub fn try_run(&self, store: &RelationStorage) -> Option<Vec<(SharedTuple, i64)>> {
-        let mut g = DenseGraph::new();
-        // adjacency: node -> (succ, cost) per distinct link tuple.
-        let mut links: Vec<(u32, u32, i64)> = Vec::new();
+        // Dense node ids in value order, so that sorting id sequences
+        // sorts the output tuples `(src, dst, path, cost)` too.
+        let mut names: Vec<&Value> = Vec::new();
         for t in store.visible_id(self.spec.edge) {
-            if t.len() != 3 {
+            if t.len() != 3 || !matches!(t[2], Value::Int(_)) {
                 return None;
             }
-            let Value::Int(c) = t[2] else {
-                return None;
-            };
-            let (a, b) = (g.intern(&t[0]), g.intern(&t[1]));
-            links.push((a, b, c));
+            names.extend([&t[0], &t[1]]);
         }
-        let n = g.len();
-        let mut adj: Vec<Vec<(u32, i64)>> = vec![Vec::new(); n];
+        names.sort_unstable();
+        names.dedup();
+        let id = |v: &Value| names.binary_search(&v).expect("node collected above") as u32;
+        // adjacency: node -> (succ, cost) per distinct link tuple.
+        let links: Vec<(u32, u32, i64)> = store
+            .visible_id(self.spec.edge)
+            .filter_map(|t| Some((id(&t[0]), id(&t[1]), t[2].as_int()?)))
+            .collect();
+        let mut adj: Vec<Vec<(u32, i64)>> = vec![Vec::new(); names.len()];
         for &(a, b, c) in &links {
             adj[a as usize].push((b, c));
         }
@@ -909,18 +952,19 @@ impl DijkstraPaths {
         // except that the last two may coincide (a destination self-loop,
         // which no further prepend can extend past).  The heap therefore
         // holds only the all-distinct (extendable) sequences; last-two-
-        // equal terminals go straight into `found`.
-        let mut found: BTreeSet<(Vec<u32>, i64)> = BTreeSet::new();
+        // equal terminals go straight into `found`, which maps each
+        // derivable node sequence to its derivable costs.
+        let mut found: HashMap<Vec<u32>, Costs> = HashMap::new();
         let mut heap: BinaryHeap<PathState> = BinaryHeap::new();
         for &(a, b, c) in &links {
             if a == b {
-                found.insert((vec![a, b], c));
+                add_found(&mut found, vec![a, b], c);
             } else {
                 heap.push(std::cmp::Reverse((c, vec![a, b])));
             }
         }
         while let Some(std::cmp::Reverse((cost, nodes))) = heap.pop() {
-            if !found.insert((nodes.clone(), cost)) {
+            if found.get(&nodes).is_some_and(|costs| costs.contains(cost)) {
                 continue;
             }
             let last = *nodes.last().expect("paths have ≥ 2 nodes");
@@ -928,35 +972,43 @@ impl DijkstraPaths {
                 if next == last {
                     let mut ext = nodes.clone();
                     ext.push(next);
-                    found.insert((ext, cost + c));
+                    add_found(&mut found, ext, cost + c);
                 } else if !nodes.contains(&next) {
                     let mut ext = nodes.clone();
                     ext.push(next);
                     heap.push(std::cmp::Reverse((cost + c, ext)));
                 }
             }
+            add_found(&mut found, nodes, cost);
         }
         // Firing counts: r1 contributes one firing to each two-node path;
         // r2 one per (link tuple, derivable suffix) decomposition.
-        let mut out = Vec::with_capacity(found.len());
-        for (nodes, cost) in &found {
+        let mut paths: Vec<(&[u32], i64)> = found
+            .iter()
+            .flat_map(|(nodes, costs)| costs.iter().map(move |c| (&nodes[..], c)))
+            .collect();
+        paths.sort_unstable_by(|&(a, ca), &(b, cb)| {
+            (a[0], a[a.len() - 1], a, ca).cmp(&(b[0], b[b.len() - 1], b, cb))
+        });
+        let value = |i: u32| names[i as usize].clone();
+        let mut out: Vec<(SharedTuple, i64)> = Vec::with_capacity(paths.len());
+        for (nodes, cost) in paths {
             let mut k = 0i64;
             if nodes.len() == 2 {
                 k += 1; // the f_init firing for the link tuple itself
             } else {
-                let suffix = &nodes[1..];
+                let suffix = found.get(&nodes[1..]);
                 for &(b, c) in &adj[nodes[0] as usize] {
-                    if b == nodes[1] && found.contains(&(suffix.to_vec(), cost - c)) {
+                    if b == nodes[1] && suffix.is_some_and(|costs| costs.contains(cost - c)) {
                         k += 1;
                     }
                 }
             }
-            let path: Vec<Value> = nodes.iter().map(|&i| g.nodes[i as usize].clone()).collect();
             let tuple: Vec<Value> = vec![
-                g.nodes[nodes[0] as usize].clone(),
-                g.nodes[*nodes.last().unwrap() as usize].clone(),
-                Value::List(path),
-                Value::Int(*cost),
+                value(nodes[0]),
+                value(nodes[nodes.len() - 1]),
+                Value::List(nodes.iter().map(|&i| value(i)).collect()),
+                Value::Int(cost),
             ];
             out.push((tuple.into(), k));
         }

@@ -8,6 +8,7 @@
 
 use crate::error::{NdlogError, Result};
 use crate::value::Value;
+use std::borrow::Borrow;
 
 fn arity_err(name: &str, want: usize, got: usize) -> NdlogError {
     NdlogError::Eval {
@@ -21,103 +22,141 @@ fn type_err(name: &str, what: &str, got: &Value) -> NdlogError {
     }
 }
 
+/// A builtin function, resolved from its name once.
+///
+/// The oracle resolves per call through [`eval_builtin`]; compiled join
+/// plans resolve at compile time and call with borrowed arguments, so a
+/// path-vector argument is never copied just to be read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Builtin {
+    Init,
+    ConcatPath,
+    InPath,
+    Size,
+    Head,
+    Last,
+    Append,
+    Min,
+    Max,
+}
+
+impl Builtin {
+    /// The builtin called `name`, if there is one.
+    pub(crate) fn resolve(name: &str) -> Option<Self> {
+        Some(match name {
+            "f_init" => Builtin::Init,
+            "f_concatPath" => Builtin::ConcatPath,
+            "f_inPath" => Builtin::InPath,
+            "f_size" => Builtin::Size,
+            "f_head" => Builtin::Head,
+            "f_last" => Builtin::Last,
+            "f_append" => Builtin::Append,
+            "f_min" => Builtin::Min,
+            "f_max" => Builtin::Max,
+            _ => return None,
+        })
+    }
+
+    /// The name the builtin is called by in programs.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Builtin::Init => "f_init",
+            Builtin::ConcatPath => "f_concatPath",
+            Builtin::InPath => "f_inPath",
+            Builtin::Size => "f_size",
+            Builtin::Head => "f_head",
+            Builtin::Last => "f_last",
+            Builtin::Append => "f_append",
+            Builtin::Min => "f_min",
+            Builtin::Max => "f_max",
+        }
+    }
+
+    /// Number of arguments the builtin takes.
+    pub(crate) fn arity(self) -> usize {
+        match self {
+            Builtin::Size | Builtin::Head | Builtin::Last => 1,
+            _ => 2,
+        }
+    }
+
+    /// The argument positions that must hold a list.  Called with the
+    /// right arity, a builtin with no other failure mode errors exactly
+    /// when one of these is not a list; `f_head`/`f_last` also fail on an
+    /// empty list, which [`Self::fails_only_on_non_lists`] reports.
+    pub(crate) fn list_args(self) -> &'static [usize] {
+        match self {
+            Builtin::ConcatPath => &[1],
+            Builtin::InPath | Builtin::Size | Builtin::Head | Builtin::Last | Builtin::Append => {
+                &[0]
+            }
+            Builtin::Init | Builtin::Min | Builtin::Max => &[],
+        }
+    }
+
+    /// True when, called with the right arity, the builtin errors only on
+    /// a non-list argument at one of [`Self::list_args`].
+    pub(crate) fn fails_only_on_non_lists(self) -> bool {
+        !matches!(self, Builtin::Head | Builtin::Last)
+    }
+
+    /// Apply the builtin to ground arguments (owned or borrowed).
+    pub(crate) fn call<V: Borrow<Value>>(self, args: &[V]) -> Result<Value> {
+        let name = self.name();
+        if args.len() != self.arity() {
+            return Err(arity_err(name, self.arity(), args.len()));
+        }
+        let arg = |i: usize| -> &Value { args[i].borrow() };
+        let list = |i: usize| -> Result<&[Value]> {
+            arg(i)
+                .as_list()
+                .ok_or_else(|| type_err(name, "list", arg(i)))
+        };
+        match self {
+            // f_init(S,D): fresh path vector [S, D].
+            Builtin::Init => Ok(Value::List(vec![arg(0).clone(), arg(1).clone()])),
+            // f_concatPath(S, P): prepend S to path vector P.
+            Builtin::ConcatPath => {
+                let p = list(1)?;
+                let mut out = Vec::with_capacity(p.len() + 1);
+                out.push(arg(0).clone());
+                out.extend_from_slice(p);
+                Ok(Value::List(out))
+            }
+            // f_inPath(P, S): true iff S occurs in P.
+            Builtin::InPath => Ok(Value::Bool(list(0)?.contains(arg(1)))),
+            // f_size(P): length of a list.
+            Builtin::Size => Ok(Value::Int(list(0)?.len() as i64)),
+            // f_head(P): first element of a non-empty list.
+            Builtin::Head => list(0)?.first().cloned().ok_or(NdlogError::Eval {
+                msg: "f_head: empty list".into(),
+            }),
+            // f_last(P): last element of a non-empty list.
+            Builtin::Last => list(0)?.last().cloned().ok_or(NdlogError::Eval {
+                msg: "f_last: empty list".into(),
+            }),
+            // f_append(P, X): append X at the end of list P.
+            Builtin::Append => {
+                let mut out = list(0)?.to_vec();
+                out.push(arg(1).clone());
+                Ok(Value::List(out))
+            }
+            // f_min(A,B) / f_max(A,B): binary extrema on the value total order.
+            Builtin::Min => Ok(arg(0).min(arg(1)).clone()),
+            Builtin::Max => Ok(arg(0).max(arg(1)).clone()),
+        }
+    }
+}
+
 /// Evaluate builtin function `name` on ground arguments.
 ///
 /// Unknown function names produce an `Eval` error so that typos in programs
 /// are caught during the first rule firing (safety analysis also flags them
 /// earlier via [`is_builtin`]).
 pub fn eval_builtin(name: &str, args: &[Value]) -> Result<Value> {
-    match name {
-        // f_init(S,D): fresh path vector [S, D].
-        "f_init" => {
-            if args.len() != 2 {
-                return Err(arity_err(name, 2, args.len()));
-            }
-            Ok(Value::List(vec![args[0].clone(), args[1].clone()]))
-        }
-        // f_concatPath(S, P): prepend S to path vector P.
-        "f_concatPath" => {
-            if args.len() != 2 {
-                return Err(arity_err(name, 2, args.len()));
-            }
-            let p = args[1]
-                .as_list()
-                .ok_or_else(|| type_err(name, "list", &args[1]))?;
-            let mut out = Vec::with_capacity(p.len() + 1);
-            out.push(args[0].clone());
-            out.extend_from_slice(p);
-            Ok(Value::List(out))
-        }
-        // f_inPath(P, S): true iff S occurs in P.
-        "f_inPath" => {
-            if args.len() != 2 {
-                return Err(arity_err(name, 2, args.len()));
-            }
-            let p = args[0]
-                .as_list()
-                .ok_or_else(|| type_err(name, "list", &args[0]))?;
-            Ok(Value::Bool(p.contains(&args[1])))
-        }
-        // f_size(P): length of a list.
-        "f_size" => {
-            if args.len() != 1 {
-                return Err(arity_err(name, 1, args.len()));
-            }
-            let p = args[0]
-                .as_list()
-                .ok_or_else(|| type_err(name, "list", &args[0]))?;
-            Ok(Value::Int(p.len() as i64))
-        }
-        // f_head(P): first element of a non-empty list.
-        "f_head" => {
-            if args.len() != 1 {
-                return Err(arity_err(name, 1, args.len()));
-            }
-            let p = args[0]
-                .as_list()
-                .ok_or_else(|| type_err(name, "list", &args[0]))?;
-            p.first().cloned().ok_or(NdlogError::Eval {
-                msg: "f_head: empty list".into(),
-            })
-        }
-        // f_last(P): last element of a non-empty list.
-        "f_last" => {
-            if args.len() != 1 {
-                return Err(arity_err(name, 1, args.len()));
-            }
-            let p = args[0]
-                .as_list()
-                .ok_or_else(|| type_err(name, "list", &args[0]))?;
-            p.last().cloned().ok_or(NdlogError::Eval {
-                msg: "f_last: empty list".into(),
-            })
-        }
-        // f_append(P, X): append X at the end of list P.
-        "f_append" => {
-            if args.len() != 2 {
-                return Err(arity_err(name, 2, args.len()));
-            }
-            let p = args[0]
-                .as_list()
-                .ok_or_else(|| type_err(name, "list", &args[0]))?;
-            let mut out = p.to_vec();
-            out.push(args[1].clone());
-            Ok(Value::List(out))
-        }
-        // f_min(A,B) / f_max(A,B): binary extrema on the value total order.
-        "f_min" => {
-            if args.len() != 2 {
-                return Err(arity_err(name, 2, args.len()));
-            }
-            Ok(args[0].clone().min(args[1].clone()))
-        }
-        "f_max" => {
-            if args.len() != 2 {
-                return Err(arity_err(name, 2, args.len()));
-            }
-            Ok(args[0].clone().max(args[1].clone()))
-        }
-        _ => Err(NdlogError::Eval {
+    match Builtin::resolve(name) {
+        Some(b) => b.call(args),
+        None => Err(NdlogError::Eval {
             msg: format!("unknown builtin function '{name}'"),
         }),
     }
@@ -126,18 +165,7 @@ pub fn eval_builtin(name: &str, args: &[Value]) -> Result<Value> {
 /// True if `name` is a known builtin (used by safety analysis to reject
 /// unknown functions at compile time rather than first firing).
 pub fn is_builtin(name: &str) -> bool {
-    matches!(
-        name,
-        "f_init"
-            | "f_concatPath"
-            | "f_inPath"
-            | "f_size"
-            | "f_head"
-            | "f_last"
-            | "f_append"
-            | "f_min"
-            | "f_max"
-    )
+    Builtin::resolve(name).is_some()
 }
 
 #[cfg(test)]

@@ -22,11 +22,9 @@
 //! Entry points: [`crate::update::Session::explain`] and
 //! [`IncrementalEngine::explain`].
 
-use crate::ast::{HeadArg, Literal, Term};
 use crate::error::Result;
-use crate::eval::Env;
-use crate::incremental::{eval_body_delta, StratumPlan};
-use crate::incremental::{CompiledRule, DeltaCtx, IncrementalEngine};
+use crate::incremental::{CompiledRule, IncrementalEngine, StratumPlan};
+use crate::plan::{ground, Views};
 use crate::storage::RelationStorage;
 use crate::symbols::RelId;
 use crate::value::{Tuple, Value};
@@ -197,26 +195,10 @@ fn explain_derived(
 ) -> Option<Support> {
     for plan in plans {
         for rule in plan.plain.iter().filter(|r| r.head == rel) {
-            let Some(env) = unify_head(rule, tuple) else {
-                continue;
-            };
-            let candidates = enumerate_bodies(storage, rule, &env).ok()?;
-            'candidate: for env in candidates {
+            let candidates = enumerate_bodies(storage, rule, tuple).ok()?;
+            'candidate: for grounds in candidates {
                 let mut premises = Vec::new();
-                for (i, lit) in rule.rule.body.iter().enumerate() {
-                    let Literal::Pos(atom) = lit else { continue };
-                    let body_rel = rule.body_rels[i].expect("positive atom has id");
-                    let ground: Tuple = atom
-                        .args
-                        .iter()
-                        .map(|t| match t {
-                            Term::Const(c) => c.clone(),
-                            Term::Var(v) => env
-                                .get(v)
-                                .cloned()
-                                .expect("complete assignment binds body vars"),
-                        })
-                        .collect();
+                for (body_rel, ground) in grounds {
                     match explain_tuple(storage, plans, body_rel, &ground, on_path, depth - 1) {
                         Some(e) => premises.push(e),
                         None => continue 'candidate,
@@ -240,54 +222,27 @@ fn explain_derived(
     None
 }
 
-/// Unify the ground `tuple` with `rule`'s head, pre-binding head variables.
-/// Mirrors the DRed rederivation probe; aggregate heads never unify here.
-fn unify_head(rule: &CompiledRule, tuple: &[Value]) -> Option<Env> {
-    if rule.rule.head.args.len() != tuple.len() {
-        return None;
-    }
-    let mut env = Env::new();
-    for (arg, val) in rule.rule.head.args.iter().zip(tuple.iter()) {
-        match arg {
-            HeadArg::Term(Term::Const(c)) => {
-                if c != val {
-                    return None;
-                }
-            }
-            HeadArg::Term(Term::Var(v)) => match env.get(v) {
-                Some(b) if b != val => return None,
-                Some(_) => {}
-                None => {
-                    env.insert(v.clone(), val.clone());
-                }
-            },
-            HeadArg::Agg(..) => return None,
-        }
-    }
-    Some(env)
-}
-
-/// Enumerate up to [`MAX_CANDIDATES`] complete body assignments consistent
-/// with the pre-bound head environment, over the visible store.
-fn enumerate_bodies(storage: &RelationStorage, rule: &CompiledRule, env: &Env) -> Result<Vec<Env>> {
-    let mut found: Vec<Env> = Vec::new();
-    let mut sink = |env: &Env, _sign: i64| -> Result<bool> {
-        found.push(env.clone());
-        Ok(found.len() < MAX_CANDIDATES)
-    };
-    let seq: Vec<usize> = (0..rule.rule.body.len()).collect();
-    let ctx = DeltaCtx {
-        storage,
-        body: &rule.rule.body,
-        body_rels: &rule.body_rels,
-        seq: &seq,
-        delta_at: None,
-        delta: None,
-        delta_sign: 1,
-        adjust: None,
-        old_before_delta: false,
-    };
-    eval_body_delta(&ctx, 0, env, 1, &mut sink)?;
+/// Enumerate up to [`MAX_CANDIDATES`] complete body assignments whose head
+/// unifies with the ground `tuple`, over the visible store — each as the
+/// ground tuples of the rule's positive body atoms, in body order.
+fn enumerate_bodies(
+    storage: &RelationStorage,
+    rule: &CompiledRule,
+    tuple: &[Value],
+) -> Result<Vec<Vec<(RelId, Tuple)>>> {
+    let mut found: Vec<Vec<(RelId, Tuple)>> = Vec::new();
+    rule.plan
+        .headed
+        .run(&Views::current(storage), tuple, &mut |slots, _sign| {
+            found.push(
+                rule.plan
+                    .premises
+                    .iter()
+                    .map(|p| (p.rel, ground(&p.args, slots)))
+                    .collect(),
+            );
+            Ok(found.len() < MAX_CANDIDATES)
+        })?;
     Ok(found)
 }
 

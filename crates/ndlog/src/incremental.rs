@@ -54,11 +54,10 @@
 //! runtime needs to pipe link-change retractions through the network.
 
 use crate::algo::{BfsReachability, DijkstraPaths, NativeShape};
-use crate::ast::{HeadArg, Literal, Program, Rule, Term};
+use crate::ast::{Program, Rule};
 use crate::error::{NdlogError, Result};
-use crate::eval::{
-    aggregate, eval_expr, instantiate_head, match_atom, Database, Env, EvalOptions, IdDatabase,
-};
+use crate::eval::{aggregate, Database, EvalOptions, IdDatabase};
+use crate::plan::{ground, HeadSrc, JoinPlan, Premise, RulePlan, Slots, Views};
 use crate::safety::{analyze, Analysis};
 use crate::sharded::{chunk_by, fan_out, ShardRouter};
 use crate::storage::{RelationStorage, SignedDeltas, VisibilityChange};
@@ -206,15 +205,15 @@ pub enum Maintenance {
     Dred,
 }
 
-/// A rule compiled against the engine's symbol table: the AST plus the
-/// interned ids of its head and body atoms, resolved once at construction
-/// so the maintenance inner loops never look up a name.
+/// A rule compiled against the engine's symbol table: the AST (for its
+/// name and shape), the interned head id, and its join plans (see
+/// [`crate::plan`]), built once at engine construction so the maintenance
+/// inner loops never look up a name or a variable.
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledRule {
     pub(crate) rule: Rule,
     pub(crate) head: RelId,
-    /// Per body literal: the atom's id (`None` for assignments/comparisons).
-    pub(crate) body_rels: Vec<Option<RelId>>,
+    pub(crate) plan: RulePlan,
 }
 
 impl CompiledRule {
@@ -222,38 +221,13 @@ impl CompiledRule {
         let head = symbols
             .lookup(&rule.head.pred)
             .expect("head predicate interned at analysis");
-        let body_rels = rule
-            .body
-            .iter()
-            .map(|l| match l {
-                Literal::Pos(a) | Literal::Neg(a) => Some(
-                    symbols
-                        .lookup(&a.pred)
-                        .expect("body predicate interned at analysis"),
-                ),
-                _ => None,
-            })
-            .collect();
-        CompiledRule {
-            rule,
-            head,
-            body_rels,
-        }
+        let plan = RulePlan::compile(&rule, symbols);
+        CompiledRule { rule, head, plan }
     }
 
-    /// Delta positions of the body for which the caller holds changes:
-    /// `(position, rel, negated)`.
+    /// Atom positions of the body: `(position, rel, negated)`.
     fn delta_positions(&self) -> impl Iterator<Item = (usize, RelId, bool)> + '_ {
-        self.rule
-            .body
-            .iter()
-            .zip(&self.body_rels)
-            .enumerate()
-            .filter_map(|(i, (l, rel))| match l {
-                Literal::Pos(_) => Some((i, rel.expect("atom has id"), false)),
-                Literal::Neg(_) => Some((i, rel.expect("atom has id"), true)),
-                _ => None,
-            })
+        self.plan.deltas.iter().map(|d| (d.pos, d.rel, d.negated))
     }
 }
 
@@ -290,6 +264,31 @@ pub(crate) struct StratumPlan {
     /// not in distributed mode; `plain` stays intact either way so the
     /// provenance walker and the semi-naive fallback see the same rules.
     pub(crate) native: Option<crate::algo::NativeShape>,
+}
+
+impl StratumPlan {
+    /// The `(relation, bound columns)` of every store probe maintenance
+    /// runs for this component: the delta plans of its rules, the
+    /// head-bound plans of a recursive component (DRed rederivation and
+    /// z-set verification), and both plans of its aggregates.  `explain`
+    /// runs head-bound plans of non-recursive rules too, over whatever the
+    /// storage has.
+    fn probes(&self) -> impl Iterator<Item = (RelId, &[usize])> {
+        let deltas = self
+            .plain
+            .iter()
+            .flat_map(|r| r.plan.deltas.iter().map(|d| &d.plan));
+        let headed = self
+            .plain
+            .iter()
+            .filter(|_| self.recursive)
+            .map(|r| &r.plan.headed);
+        let aggs = self
+            .aggs
+            .iter()
+            .flat_map(|(_, r)| [&r.plan.full, &r.plan.headed]);
+        deltas.chain(headed).chain(aggs).flat_map(JoinPlan::probes)
+    }
 }
 
 /// Pre-resolved telemetry handles for the incremental engine.
@@ -557,31 +556,10 @@ impl IncrementalEngine {
     /// loaded — the distributed runtime seeds each node's base separately.
     pub fn from_analysis(analysis: Analysis, opts: EvalOptions) -> Self {
         let plans = build_plans(&analysis);
-        // Only DRed rederivation (recursive-strata plain rules) and
-        // group-restricted aggregation probe with the head pre-bound;
-        // registering those patterns elsewhere would add index maintenance
-        // with no reader.
-        let recursive_heads: BTreeSet<RelId> = plans
-            .iter()
-            .filter(|p| p.recursive)
-            .flat_map(|p| p.plain.iter().map(|r| r.head))
-            .collect();
         let mut storage = RelationStorage::with_symbols(analysis.symbols.clone());
-        let empty = BTreeSet::new();
-        for rule in &analysis.rules {
-            register_rule_indexes(&mut storage, rule, &empty);
-            let head_id = analysis.symbols.lookup(&rule.head.pred);
-            if rule.head.has_agg() || head_id.is_some_and(|h| recursive_heads.contains(&h)) {
-                let prebind: BTreeSet<String> = rule
-                    .head
-                    .args
-                    .iter()
-                    .filter_map(|a| match a {
-                        HeadArg::Term(Term::Var(v)) => Some(v.clone()),
-                        _ => None,
-                    })
-                    .collect();
-                register_rule_indexes(&mut storage, rule, &prebind);
+        for plan in &plans {
+            for (rel, cols) in plan.probes() {
+                storage.register_index_id(rel, cols);
             }
         }
         let plans = Arc::new(plans);
@@ -943,57 +921,6 @@ impl IncrementalEngine {
     }
 }
 
-/// Register hash indexes for the static join-key binding pattern of each
-/// positive body atom: the argument positions that are constants or bound by
-/// earlier literals in the safe order (optionally pre-binding the head
-/// variables, the pattern DRed rederivation probes with).
-fn register_rule_indexes(storage: &mut RelationStorage, rule: &Rule, bound0: &BTreeSet<String>) {
-    register_pattern(storage, rule, bound0.clone(), None);
-    // Delta-first evaluation hoists each positive literal to the front, so
-    // the remaining literals probe with that literal's variables pre-bound.
-    for (d, lit) in rule.body.iter().enumerate() {
-        if let Literal::Pos(a) = lit {
-            let mut bound = bound0.clone();
-            a.vars(&mut bound);
-            register_pattern(storage, rule, bound, Some(d));
-        }
-    }
-}
-
-/// Walk the body in order (skipping `skip`), registering the index pattern
-/// each positive literal is probed with given the running bound-variable set.
-fn register_pattern(
-    storage: &mut RelationStorage,
-    rule: &Rule,
-    mut bound: BTreeSet<String>,
-    skip: Option<usize>,
-) {
-    for (i, lit) in rule.body.iter().enumerate() {
-        if Some(i) == skip {
-            continue;
-        }
-        match lit {
-            Literal::Pos(a) => {
-                let cols: Vec<usize> = a
-                    .args
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, t)| match t {
-                        Term::Const(_) => Some(i),
-                        Term::Var(v) => bound.contains(v).then_some(i),
-                    })
-                    .collect();
-                storage.register_index(&a.pred, &cols);
-                a.vars(&mut bound);
-            }
-            Literal::Assign(v, _) => {
-                bound.insert(v.clone());
-            }
-            _ => {}
-        }
-    }
-}
-
 /// Build the maintenance sub-plans: each stratum is decomposed into the
 /// SCCs of its positive head-dependency graph, emitted in topological
 /// order.  Negative same-stratum edges cannot exist (stratified negation
@@ -1154,166 +1081,54 @@ fn scc_condensation(plain: &[CompiledRule], head_preds: &BTreeSet<RelId>) -> Vec
 }
 
 // ---------------------------------------------------------------------
-// Signed delta-rule evaluation over the indexed store.
+// Signed head counts of one maintenance round.
 // ---------------------------------------------------------------------
 
-/// Shared evaluation context for one delta-rule pass.
-pub(crate) struct DeltaCtx<'a> {
-    pub(crate) storage: &'a RelationStorage,
-    pub(crate) body: &'a [Literal],
-    /// The interned id of each body atom (aligned with `body`).
-    pub(crate) body_rels: &'a [Option<RelId>],
-    /// Evaluation order over body positions.  When the delta literal is a
-    /// positive atom it is evaluated *first* — binding its variables so the
-    /// remaining literals become index probes instead of leading scans.
-    pub(crate) seq: &'a [usize],
-    pub(crate) delta_at: Option<usize>,
-    pub(crate) delta: Option<&'a BTreeMap<SharedTuple, i64>>,
-    /// Multiplier applied to every delta entry's sign (`-1` when the delta
-    /// literal is negated: the negation sees changes inverted).  Borrowing
-    /// plus a multiplier avoids cloning the delta map per rule × position.
-    pub(crate) delta_sign: i64,
-    pub(crate) adjust: Option<&'a SignedDeltas>,
-    pub(crate) old_before_delta: bool,
-}
+/// Signed firing counts per head relation and tuple.  Nested by relation
+/// so a firing probes by borrowed slice and copies its head tuple only
+/// the first time it is seen — into the shared handle the store then
+/// keeps; iteration order equals the `(rel, tuple)` order of a flat map.
+type HeadCounts = BTreeMap<RelId, BTreeMap<SharedTuple, i64>>;
 
-impl DeltaCtx<'_> {
-    /// Which view does the literal at original position `pos` read?  The
-    /// telescoped delta formula assigns `new` before the delta position and
-    /// `old` after it (and `old` everywhere for DRed overdeletion) — in the
-    /// *original* position numbering, independent of evaluation order.
-    fn minus_for(&self, pos: usize) -> Option<&SignedDeltas> {
-        let use_old = match self.delta_at {
-            None => false,
-            Some(d) => pos > d || (pos < d && self.old_before_delta),
-        };
-        if use_old {
-            self.adjust
-        } else {
-            None
+/// Add `by` to the count of `t`, copying `t` only when it is new.
+fn bump(counts: &mut BTreeMap<SharedTuple, i64>, t: &[Value], by: i64) {
+    match counts.get_mut(t) {
+        Some(c) => *c += by,
+        None => {
+            counts.insert(SharedTuple::from_slice(t), by);
         }
     }
 }
 
-/// The evaluation order for a body with the delta literal at `d`: a positive
-/// delta literal is hoisted to the front (its tuples drive the join), a
-/// negated one stays in place (it only filters ground probes).
-fn delta_seq(body: &[Literal], d: usize) -> Vec<usize> {
-    if matches!(body[d], Literal::Pos(_)) {
-        std::iter::once(d)
-            .chain((0..body.len()).filter(|&i| i != d))
-            .collect()
-    } else {
-        (0..body.len()).collect()
+/// Sum the workers' partial head counts (order-insensitive).
+fn merge_counts(parts: impl IntoIterator<Item = HeadCounts>) -> HeadCounts {
+    let mut out = HeadCounts::new();
+    for part in parts {
+        for (p, ts) in part {
+            let m = out.entry(p).or_default();
+            if m.is_empty() {
+                *m = ts;
+                continue;
+            }
+            for (t, v) in ts {
+                *m.entry(t).or_insert(0) += v;
+            }
+        }
     }
+    out
 }
 
-/// Evaluate a rule body over `ctx.storage`, with the atom at `ctx.delta_at`
-/// restricted to the signed `ctx.delta` map.  `sink` receives each complete
-/// environment with the firing's sign and returns `false` to stop early.
-pub(crate) fn eval_body_delta(
-    ctx: &DeltaCtx<'_>,
-    k: usize,
-    env: &Env,
-    sign: i64,
-    sink: &mut dyn FnMut(&Env, i64) -> Result<bool>,
-) -> Result<bool> {
-    if k == ctx.seq.len() {
-        return sink(env, sign);
-    }
-    let pos = ctx.seq[k];
-    let minus = ctx.minus_for(pos);
-    match &ctx.body[pos] {
-        Literal::Pos(atom) => {
-            let rel = ctx.body_rels[pos].expect("positive atom has id");
-            if ctx.delta_at == Some(pos) {
-                for (tuple, s) in ctx.delta.expect("delta map at delta position") {
-                    let mut env2 = env.clone();
-                    if match_atom(atom, tuple, &mut env2)
-                        && !eval_body_delta(ctx, k + 1, &env2, sign * s * ctx.delta_sign, sink)?
-                    {
-                        return Ok(false);
-                    }
-                }
-                return Ok(true);
-            }
-            // Index probe on the bound argument positions.
-            let mut cols = Vec::new();
-            let mut key = Vec::new();
-            for (i, t) in atom.args.iter().enumerate() {
-                match t {
-                    Term::Const(c) => {
-                        cols.push(i);
-                        key.push(c.clone());
-                    }
-                    Term::Var(v) => {
-                        if let Some(val) = env.get(v) {
-                            cols.push(i);
-                            key.push(val.clone());
-                        }
-                    }
-                }
-            }
-            for tuple in ctx.storage.matches_adjusted_id(rel, &cols, &key, minus) {
-                let mut env2 = env.clone();
-                if match_atom(atom, tuple, &mut env2)
-                    && !eval_body_delta(ctx, k + 1, &env2, sign, sink)?
-                {
-                    return Ok(false);
-                }
-            }
-            Ok(true)
-        }
-        Literal::Neg(atom) => {
-            let rel = ctx.body_rels[pos].expect("negated atom has id");
-            let mut probe = Vec::with_capacity(atom.args.len());
-            for t in &atom.args {
-                match t {
-                    Term::Const(c) => probe.push(c.clone()),
-                    Term::Var(v) => {
-                        probe.push(env.get(v).cloned().ok_or_else(|| NdlogError::Eval {
-                            msg: format!("unbound var {v} in negation"),
-                        })?)
-                    }
-                }
-            }
-            if ctx.delta_at == Some(pos) {
-                match ctx
-                    .delta
-                    .expect("delta map at delta position")
-                    .get(&probe[..])
-                {
-                    Some(s) => eval_body_delta(ctx, k + 1, env, sign * s * ctx.delta_sign, sink),
-                    None => Ok(true),
-                }
-            } else if !ctx.storage.contains_adjusted_id(rel, &probe, minus) {
-                eval_body_delta(ctx, k + 1, env, sign, sink)
-            } else {
-                Ok(true)
-            }
-        }
-        Literal::Assign(v, e) => {
-            let val = eval_expr(e, env)?;
-            match env.get(v) {
-                Some(bound) if *bound != val => Ok(true),
-                Some(_) => eval_body_delta(ctx, k + 1, env, sign, sink),
-                None => {
-                    let mut env2 = env.clone();
-                    env2.insert(v.clone(), val);
-                    eval_body_delta(ctx, k + 1, &env2, sign, sink)
-                }
-            }
-        }
-        Literal::Cmp(a, op, b) => {
-            let va = eval_expr(a, env)?;
-            let vb = eval_expr(b, env)?;
-            if op.eval(&va, &vb) {
-                eval_body_delta(ctx, k + 1, env, sign, sink)
-            } else {
-                Ok(true)
-            }
-        }
-    }
+/// The non-zero counts as `(rel, tuple, count)` in `(rel, tuple)` order.
+fn flatten(counts: HeadCounts) -> impl Iterator<Item = (RelId, SharedTuple, i64)> {
+    counts
+        .into_iter()
+        .flat_map(|(p, ts)| ts.into_iter().map(move |(t, k)| (p, t, k)))
+        .filter(|&(_, _, k)| k != 0)
+}
+
+/// Number of head tuples counted.
+fn tuple_count(counts: &HeadCounts) -> usize {
+    counts.values().map(BTreeMap::len).sum()
 }
 
 // ---------------------------------------------------------------------
@@ -1413,48 +1228,23 @@ fn affected_group_keys(
     if !have_prev {
         return None;
     }
-    let head = &rule.rule.head;
-    let group_vars: BTreeSet<&str> = head
-        .args
-        .iter()
-        .filter_map(|a| match a {
-            HeadArg::Term(Term::Var(v)) => Some(v.as_str()),
-            _ => None,
-        })
-        .collect();
     let mut keys = BTreeSet::new();
-    for (pos, rel, _) in rule.delta_positions() {
-        let (app, dis) = storage.batch_marks_id(rel);
+    let mut slots = rule.plan.slots();
+    for d in &rule.plan.deltas {
+        let (app, dis) = storage.batch_marks_id(d.rel);
         if app.is_empty() && dis.is_empty() {
             continue;
         }
-        let atom = match &rule.rule.body[pos] {
-            Literal::Pos(a) | Literal::Neg(a) => a,
-            _ => unreachable!("delta positions are atoms"),
-        };
         // Every changed atom occurrence must bind the full key.
-        let mut atom_vars = BTreeSet::new();
-        atom.vars(&mut atom_vars);
-        if !group_vars.iter().all(|v| atom_vars.contains(*v)) {
+        if !d.binds_group {
             return None;
         }
         for t in app.iter().chain(dis.iter()) {
-            let mut env = Env::new();
-            if !match_atom(atom, t, &mut env) {
-                continue;
+            if d.atom.apply(t, &mut slots) {
+                let mut key = Vec::new();
+                rule.plan.head_terms(&slots, &mut key);
+                keys.insert(key);
             }
-            let mut key = Vec::new();
-            for a in &head.args {
-                match a {
-                    HeadArg::Term(Term::Const(c)) => key.push(c.clone()),
-                    HeadArg::Term(Term::Var(v)) => match env.get(v) {
-                        Some(val) => key.push(val.clone()),
-                        None => return None,
-                    },
-                    HeadArg::Agg(..) => {}
-                }
-            }
-            keys.insert(key);
         }
     }
     Some(keys)
@@ -1468,97 +1258,49 @@ fn eval_agg_groups(
     restrict: Option<&Tuple>,
     stats: &mut BatchStats,
 ) -> Result<BTreeMap<Tuple, Tuple>> {
-    let head = &rule.rule.head;
-    let n_aggs = head
-        .args
+    let head = &rule.plan.head;
+    let agg_slots: Vec<usize> = head
         .iter()
-        .filter(|a| matches!(a, HeadArg::Agg(..)))
-        .count();
-
-    // Pre-bind the group variables when restricted to one key.
-    let mut env0 = Env::new();
-    if let Some(key) = restrict {
-        let mut ki = 0usize;
-        for a in &head.args {
-            match a {
-                HeadArg::Term(Term::Const(c)) => {
-                    if key.get(ki) != Some(c) {
-                        return Ok(BTreeMap::new());
-                    }
-                    ki += 1;
-                }
-                HeadArg::Term(Term::Var(v)) => {
-                    let val = key.get(ki).cloned().ok_or_else(|| NdlogError::Eval {
-                        msg: "group key arity mismatch".into(),
-                    })?;
-                    match env0.get(v) {
-                        Some(b) if *b != val => return Ok(BTreeMap::new()),
-                        Some(_) => {}
-                        None => {
-                            env0.insert(v.clone(), val);
-                        }
-                    }
-                    ki += 1;
-                }
-                HeadArg::Agg(..) => {}
-            }
-        }
-    }
-
+        .filter_map(|h| match h {
+            HeadSrc::Agg(_, s) => Some(*s),
+            HeadSrc::Term(_) => None,
+        })
+        .collect();
     let mut groups: BTreeMap<Tuple, Vec<Vec<Value>>> = BTreeMap::new();
-    let mut sink = |env: &Env, _sign: i64| -> Result<bool> {
+    let mut key = Vec::new();
+    let mut sink = |slots: &Slots<'_>, _sign: i64| -> Result<bool> {
         stats.derivations += 1;
-        let mut key = Vec::new();
-        let mut aggs = Vec::with_capacity(n_aggs);
-        for a in &head.args {
-            match a {
-                HeadArg::Term(Term::Const(c)) => key.push(c.clone()),
-                HeadArg::Term(Term::Var(v)) => {
-                    key.push(env.get(v).cloned().ok_or_else(|| NdlogError::Eval {
-                        msg: format!("unbound head var {v}"),
-                    })?)
-                }
-                HeadArg::Agg(_, v) => {
-                    aggs.push(env.get(v).cloned().ok_or_else(|| NdlogError::Eval {
-                        msg: format!("unbound aggregate var {v}"),
-                    })?)
-                }
-            }
-        }
-        let acc = groups
-            .entry(key)
-            .or_insert_with(|| vec![Vec::new(); n_aggs]);
-        for (slot, v) in acc.iter_mut().zip(aggs) {
-            slot.push(v);
+        rule.plan.head_terms(slots, &mut key);
+        let acc = match groups.get_mut(&key[..]) {
+            Some(acc) => acc,
+            None => groups
+                .entry(key.clone())
+                .or_insert_with(|| vec![Vec::new(); agg_slots.len()]),
+        };
+        for (vals, &s) in acc.iter_mut().zip(&agg_slots) {
+            vals.push(slots[s].clone().into_owned());
         }
         Ok(true)
     };
-    let seq: Vec<usize> = (0..rule.rule.body.len()).collect();
-    let ctx = DeltaCtx {
-        storage,
-        body: &rule.rule.body,
-        body_rels: &rule.body_rels,
-        seq: &seq,
-        delta_at: None,
-        delta: None,
-        delta_sign: 1,
-        adjust: None,
-        old_before_delta: false,
+    let views = Views::current(storage);
+    match restrict {
+        // Pre-bind the group variables when restricted to one key.
+        Some(key) => rule.plan.headed.run(&views, key, &mut sink)?,
+        None => rule.plan.full.run(&views, &[], &mut sink)?,
     };
-    eval_body_delta(&ctx, 0, &env0, 1, &mut sink)?;
 
     let mut out = BTreeMap::new();
     for (key, accs) in groups {
         let mut ki = 0usize;
         let mut ai = 0usize;
-        let mut tuple = Vec::with_capacity(head.args.len());
-        for a in &head.args {
-            match a {
-                HeadArg::Term(_) => {
+        let mut tuple = Vec::with_capacity(head.len());
+        for h in head {
+            match h {
+                HeadSrc::Term(_) => {
                     tuple.push(key[ki].clone());
                     ki += 1;
                 }
-                HeadArg::Agg(func, _) => {
+                HeadSrc::Agg(func, _) => {
                     tuple.push(aggregate(*func, &accs[ai])?);
                     ai += 1;
                 }
@@ -1688,10 +1430,7 @@ fn install_native<F: Fn(&[Value]) -> bool>(
     for (t, k) in &computed {
         match maintenance {
             Maintenance::ZSet => {
-                let delta = k - storage.derived_count_id(head, t);
-                if delta != 0 {
-                    storage.add_derived_id(head, t, delta);
-                }
+                storage.set_derived_shared(head, t, *k);
             }
             Maintenance::Dred => {
                 if storage.derived_count_id(head, t) == 0 {
@@ -1741,53 +1480,42 @@ fn maintain_counting(
         let frozen: &RelationStorage = storage;
         let vis_ref = &vis_delta;
         let partials = fan_out(router.map(ShardRouter::pool), parts.len(), &|k| {
-            let mut head_net: BTreeMap<(RelId, Tuple), i64> = BTreeMap::new();
+            let mut head_net = HeadCounts::new();
             let mut derivations = 0usize;
+            let mut head = Vec::new();
             for rule in &plan.plain {
-                for (pos, rel, negated) in rule.delta_positions() {
-                    let Some(dm) = parts[k].get(&rel) else {
+                for d in &rule.plan.deltas {
+                    let Some(dm) = parts[k].get(&d.rel) else {
                         continue;
                     };
-                    let head_rel = rule.head;
-                    let head = &rule.rule.head;
-                    let mut sink = |env: &Env, sign: i64| -> Result<bool> {
-                        derivations += 1;
-                        let t = instantiate_head(head, env)?;
-                        *head_net.entry((head_rel, t)).or_insert(0) += sign;
-                        Ok(true)
-                    };
-                    let seq = delta_seq(&rule.rule.body, pos);
-                    let ctx = DeltaCtx {
+                    let net = head_net.entry(rule.head).or_default();
+                    let views = Views {
                         storage: frozen,
-                        body: &rule.rule.body,
-                        body_rels: &rule.body_rels,
-                        seq: &seq,
-                        delta_at: Some(pos),
-                        delta: Some(dm),
-                        delta_sign: if negated { -1 } else { 1 },
-                        adjust: Some(vis_ref),
-                        old_before_delta: false,
+                        delta: Some((dm, if d.negated { -1 } else { 1 })),
+                        before: None,
+                        after: Some(vis_ref),
                     };
-                    eval_body_delta(&ctx, 0, &Env::new(), 1, &mut sink)?;
+                    d.plan.run(&views, &[], &mut |slots, sign| {
+                        derivations += 1;
+                        rule.plan.head_terms(slots, &mut head);
+                        bump(net, &head, sign);
+                        Ok(true)
+                    })?;
                 }
             }
             Ok((head_net, derivations))
         })?;
-        let mut head_net: BTreeMap<(RelId, Tuple), i64> = BTreeMap::new();
+        let mut parts_net = Vec::with_capacity(partials.len());
         for (k, (partial, derivations)) in partials.into_iter().enumerate() {
             stats.derivations += derivations;
-            metrics.shard_load(k, partial.len(), derivations);
-            for (key, v) in partial {
-                *head_net.entry(key).or_insert(0) += v;
-            }
+            metrics.shard_load(k, tuple_count(&partial), derivations);
+            parts_net.push(partial);
         }
+        let head_net = merge_counts(parts_net);
         // Apply the net support changes; visibility flips seed the next round.
         let mut next = SignedDeltas::new();
-        for ((p, t), k) in head_net {
-            if k == 0 {
-                continue;
-            }
-            let change = storage.add_derived_id(p, &t, k);
+        for (p, t, k) in flatten(head_net) {
+            let change = storage.add_derived_shared(p, &t, k);
             if storage.derived_count_id(p, &t) < 0 {
                 // Cold error path: rendering the name here costs nothing in
                 // the hot loop and is the only locating information the
@@ -1805,10 +1533,10 @@ fn maintain_counting(
             }
             match change {
                 VisibilityChange::Appeared => {
-                    next.entry(p).or_default().insert(SharedTuple::from(t), 1);
+                    next.entry(p).or_default().insert(t, 1);
                 }
                 VisibilityChange::Disappeared => {
-                    next.entry(p).or_default().insert(SharedTuple::from(t), -1);
+                    next.entry(p).or_default().insert(t, -1);
                 }
                 VisibilityChange::Unchanged => {}
             }
@@ -2006,65 +1734,61 @@ fn zset_propagate(
         let frozen: &RelationStorage = storage;
         let vis_ref = &vis_delta;
         let partials = fan_out(router.map(ShardRouter::pool), parts.len(), &|k| {
-            let mut head_net: BTreeMap<(RelId, Tuple), i64> = BTreeMap::new();
-            let mut neg_heads: BTreeSet<(RelId, Tuple)> = BTreeSet::new();
+            let mut head_net = HeadCounts::new();
+            let mut neg_heads: BTreeMap<RelId, BTreeSet<SharedTuple>> = BTreeMap::new();
             let mut derivations = 0usize;
+            let mut head = Vec::new();
             for rule in &plan.plain {
-                for (pos, rel, negated) in rule.delta_positions() {
-                    let Some(dm) = parts[k].get(&rel) else {
+                for d in &rule.plan.deltas {
+                    let Some(dm) = parts[k].get(&d.rel) else {
                         continue;
                     };
-                    let head_rel = rule.head;
-                    let head = &rule.rule.head;
-                    let mut sink = |env: &Env, sign: i64| -> Result<bool> {
+                    let net = head_net.entry(rule.head).or_default();
+                    let negs = neg_heads.entry(rule.head).or_default();
+                    let views = Views {
+                        storage: frozen,
+                        delta: Some((dm, if d.negated { -1 } else { 1 })),
+                        before: None,
+                        after: Some(vis_ref),
+                    };
+                    d.plan.run(&views, &[], &mut |slots, sign| {
                         derivations += 1;
-                        let t = instantiate_head(head, env)?;
-                        if sign < 0 {
+                        rule.plan.head_terms(slots, &mut head);
+                        if sign < 0 && !negs.contains(&head[..]) {
                             // Any lost firing makes the head a suspect —
                             // net change alone would miss a lost firing
                             // cancelled by a gained one.
-                            neg_heads.insert((head_rel, t.clone()));
+                            negs.insert(SharedTuple::from_slice(&head));
                         }
-                        *head_net.entry((head_rel, t)).or_insert(0) += sign;
+                        bump(net, &head, sign);
                         Ok(true)
-                    };
-                    let seq = delta_seq(&rule.rule.body, pos);
-                    let ctx = DeltaCtx {
-                        storage: frozen,
-                        body: &rule.rule.body,
-                        body_rels: &rule.body_rels,
-                        seq: &seq,
-                        delta_at: Some(pos),
-                        delta: Some(dm),
-                        delta_sign: if negated { -1 } else { 1 },
-                        adjust: Some(vis_ref),
-                        old_before_delta: false,
-                    };
-                    eval_body_delta(&ctx, 0, &Env::new(), 1, &mut sink)?;
+                    })?;
                 }
             }
             Ok((head_net, neg_heads, derivations))
         })?;
-        let mut head_net: BTreeMap<(RelId, Tuple), i64> = BTreeMap::new();
-        let mut neg_heads: BTreeSet<(RelId, Tuple)> = BTreeSet::new();
+        let mut parts_net = Vec::with_capacity(partials.len());
+        let mut neg_heads: BTreeMap<RelId, BTreeSet<SharedTuple>> = BTreeMap::new();
         for (k, (partial, negs, derivations)) in partials.into_iter().enumerate() {
             stats.derivations += derivations;
             total_derivations += derivations;
-            metrics.shard_load(k, partial.len(), derivations);
-            for (key, v) in partial {
-                *head_net.entry(key).or_insert(0) += v;
+            metrics.shard_load(k, tuple_count(&partial), derivations);
+            parts_net.push(partial);
+            for (p, ts) in negs {
+                let m = neg_heads.entry(p).or_default();
+                if m.is_empty() {
+                    *m = ts;
+                } else {
+                    m.extend(ts);
+                }
             }
-            neg_heads.extend(negs);
         }
         let mut next = SignedDeltas::new();
-        for ((p, t), k) in head_net {
-            if k == 0 {
-                continue;
-            }
+        for (p, t, k) in flatten(merge_counts(parts_net)) {
             if dead.get(&p).is_some_and(|s| s.contains(&t[..])) {
                 continue;
             }
-            let change = storage.add_derived_id(p, &t, k);
+            let change = storage.add_derived_shared(p, &t, k);
             if storage.derived_count_id(p, &t) < 0 {
                 return Err(NdlogError::Eval {
                     msg: format!(
@@ -2079,10 +1803,10 @@ fn zset_propagate(
             }
             match change {
                 VisibilityChange::Appeared => {
-                    next.entry(p).or_default().insert(SharedTuple::from(t), 1);
+                    next.entry(p).or_default().insert(t, 1);
                 }
                 VisibilityChange::Disappeared => {
-                    next.entry(p).or_default().insert(SharedTuple::from(t), -1);
+                    next.entry(p).or_default().insert(t, -1);
                 }
                 VisibilityChange::Unchanged => {}
             }
@@ -2090,7 +1814,10 @@ fn zset_propagate(
         // Still-visible heads that lost a firing may now rest on circular
         // support only; exported tuples cannot (local rules never read
         // them, so no cycle runs through them and their counts are exact).
-        for (p, t) in neg_heads {
+        for (p, t) in neg_heads
+            .into_iter()
+            .flat_map(|(p, ts)| ts.into_iter().map(move |t| (p, t)))
+        {
             if dead.get(&p).is_some_and(|s| s.contains(&t[..])) {
                 continue;
             }
@@ -2098,7 +1825,7 @@ fn zset_propagate(
                 && storage.edb_count_id(p, &t) == 0
                 && !storage.is_exported_id(p, &t)
             {
-                suspects.entry(p).or_default().insert(SharedTuple::from(t));
+                suspects.entry(p).or_default().insert(t);
             }
         }
         vis_delta = next;
@@ -2154,64 +1881,25 @@ fn wf_derivable(
     state.in_progress.insert(key.clone());
     let mut found = false;
     for rule in vctx.plan.plain.iter().filter(|r| r.head == rel) {
-        // Unify the ground tuple with the head to pre-bind variables
-        // (exactly the DRed rederivation probe shape).
-        let mut env = Env::new();
-        let mut ok = true;
-        for (arg, val) in rule.rule.head.args.iter().zip(tuple.iter()) {
-            match arg {
-                HeadArg::Term(Term::Const(c)) => {
-                    if c != val {
-                        ok = false;
-                        break;
-                    }
-                }
-                HeadArg::Term(Term::Var(v)) => match env.get(v) {
-                    Some(b) if b != val => {
-                        ok = false;
-                        break;
-                    }
-                    Some(_) => {}
-                    None => {
-                        env.insert(v.clone(), val.clone());
-                    }
-                },
-                HeadArg::Agg(..) => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if !ok {
-            continue;
-        }
         // Positive body occurrences of component heads: the atoms whose
         // ground instances need their own well-foundedness proof.
-        let rec_atoms: Vec<(usize, RelId)> = rule
-            .delta_positions()
-            .filter(|(_, r, neg)| !neg && vctx.head_preds.contains(r))
-            .map(|(pos, r, _)| (pos, r))
+        let rec: Vec<&Premise> = rule
+            .plan
+            .premises
+            .iter()
+            .filter(|p| vctx.head_preds.contains(&p.rel))
             .collect();
-        let body = &rule.rule.body;
-        let mut sink = |env: &Env, _sign: i64| -> Result<bool> {
+        // The head-bound plan unifies the ground tuple with the head
+        // (exactly the DRed rederivation probe shape); every step reads
+        // the blocked view.
+        let views = Views {
+            before: Some(vctx.blocked),
+            ..Views::current(vctx.storage)
+        };
+        rule.plan.headed.run(&views, tuple, &mut |slots, _sign| {
             state.derivations += 1;
-            for &(pos, brel) in &rec_atoms {
-                let atom = match &body[pos] {
-                    Literal::Pos(a) => a,
-                    _ => unreachable!("rec_atoms are positive atoms"),
-                };
-                let mut bt: Tuple = Vec::with_capacity(atom.args.len());
-                for term in &atom.args {
-                    match term {
-                        Term::Const(c) => bt.push(c.clone()),
-                        Term::Var(v) => {
-                            bt.push(env.get(v).cloned().ok_or_else(|| NdlogError::Eval {
-                                msg: format!("unbound var {v} in verified body"),
-                            })?)
-                        }
-                    }
-                }
-                let bkey = (brel, SharedTuple::from(bt));
+            for p in &rec {
+                let bkey = (p.rel, SharedTuple::from(ground(&p.args, slots)));
                 if state.proved.contains(&bkey) {
                     continue;
                 }
@@ -2224,23 +1912,7 @@ fn wf_derivable(
             }
             found = true;
             Ok(false) // a well-founded firing suffices
-        };
-        // `delta_at` = body.len() puts every position "before the delta"
-        // so the blocked view applies everywhere; no position ever equals
-        // it, so the absent delta map is never read.
-        let seq: Vec<usize> = (0..body.len()).collect();
-        let ctx = DeltaCtx {
-            storage: vctx.storage,
-            body,
-            body_rels: &rule.body_rels,
-            seq: &seq,
-            delta_at: Some(body.len()),
-            delta: None,
-            delta_sign: 1,
-            adjust: Some(vctx.blocked),
-            old_before_delta: true,
-        };
-        eval_body_delta(&ctx, 0, &env, 1, &mut sink)?;
+        })?;
         if found {
             break;
         }
@@ -2256,7 +1928,7 @@ fn wf_derivable(
 // DRed maintenance (recursive strata).
 // ---------------------------------------------------------------------
 
-/// A set of tuples as a unit-signed delta map (what [`DeltaCtx`] consumes).
+/// A set of tuples as a unit-signed delta map (what a delta plan reads).
 /// Shares the tuple handles (reference-count bumps only).
 fn marks_map(set: &BTreeSet<SharedTuple>) -> BTreeMap<SharedTuple, i64> {
     set.iter().map(|t| (t.clone(), 1)).collect()
@@ -2329,49 +2001,40 @@ fn maintain_dred(
         let partials = fan_out(pool, dy_parts.len().max(rn_parts.len()), &|k| {
             let mut new_cands: BTreeMap<RelId, BTreeSet<SharedTuple>> = BTreeMap::new();
             let mut derivations = 0usize;
+            let mut head = Vec::new();
             for rule in &plan.plain {
-                for (pos, rel, negated) in rule.delta_positions() {
-                    let dmap = if negated {
-                        rn_parts.get(k).and_then(|p| p.get(&rel))
+                for d in &rule.plan.deltas {
+                    let dmap = if d.negated {
+                        rn_parts.get(k).and_then(|p| p.get(&d.rel))
                     } else {
-                        dy_parts.get(k).and_then(|p| p.get(&rel))
+                        dy_parts.get(k).and_then(|p| p.get(&d.rel))
                     };
                     let Some(dmap) = dmap else { continue };
                     let head_rel = rule.head;
-                    let head = &rule.rule.head;
-                    let mut sink = |env: &Env, _sign: i64| -> Result<bool> {
+                    // The whole body evaluates against the old view.
+                    let views = Views {
+                        storage: frozen,
+                        delta: Some((dmap, 1)),
+                        before: Some(adjust_ref),
+                        after: Some(adjust_ref),
+                    };
+                    d.plan.run(&views, &[], &mut |slots, _sign| {
                         derivations += 1;
-                        let t = instantiate_head(head, env)?;
+                        rule.plan.head_terms(slots, &mut head);
                         let seen = cand_ref
                             .get(&head_rel)
-                            .map(|s| s.contains(&t[..]))
-                            .unwrap_or(false)
+                            .is_some_and(|s| s.contains(&head[..]))
                             || new_cands
                                 .get(&head_rel)
-                                .map(|s| s.contains(&t[..]))
-                                .unwrap_or(false);
-                        if !seen && frozen.derived_count_id(head_rel, &t) > 0 {
+                                .is_some_and(|s| s.contains(&head[..]));
+                        if !seen && frozen.derived_count_id(head_rel, &head) > 0 {
                             new_cands
                                 .entry(head_rel)
                                 .or_default()
-                                .insert(SharedTuple::from(t));
+                                .insert(SharedTuple::from_slice(&head));
                         }
                         Ok(true)
-                    };
-                    let seq = delta_seq(&rule.rule.body, pos);
-                    let ctx = DeltaCtx {
-                        storage: frozen,
-                        body: &rule.rule.body,
-                        body_rels: &rule.body_rels,
-                        seq: &seq,
-                        delta_at: Some(pos),
-                        delta: Some(dmap),
-                        delta_sign: 1,
-                        adjust: Some(adjust_ref),
-                        // The whole body evaluates against the old view.
-                        old_before_delta: true,
-                    };
-                    eval_body_delta(&ctx, 0, &Env::new(), 1, &mut sink)?;
+                    })?;
                 }
             }
             Ok((new_cands, derivations))
@@ -2513,50 +2176,40 @@ fn maintain_dred(
             let mut new_rising: SignedDeltas = BTreeMap::new();
             let mut exported_new: BTreeSet<(RelId, SharedTuple)> = BTreeSet::new();
             let mut derivations = 0usize;
+            let mut head = Vec::new();
             for rule in &plan.plain {
-                for (pos, rel, negated) in rule.delta_positions() {
-                    let dset = if negated {
-                        fn_parts.get(k).and_then(|p| p.get(&rel))
+                for d in &rule.plan.deltas {
+                    let dset = if d.negated {
+                        fn_parts.get(k).and_then(|p| p.get(&d.rel))
                     } else {
-                        ri_parts.get(k).and_then(|p| p.get(&rel))
+                        ri_parts.get(k).and_then(|p| p.get(&d.rel))
                     };
                     let Some(dmap) = dset else { continue };
                     let head_rel = rule.head;
-                    let head = &rule.rule.head;
-                    let mut sink = |env: &Env, _sign: i64| -> Result<bool> {
+                    let views = Views {
+                        delta: Some((dmap, 1)),
+                        ..Views::current(frozen)
+                    };
+                    d.plan.run(&views, &[], &mut |slots, _sign| {
                         derivations += 1;
-                        let t = instantiate_head(head, env)?;
-                        if frozen.derived_count_id(head_rel, &t) == 0
+                        rule.plan.head_terms(slots, &mut head);
+                        if frozen.derived_count_id(head_rel, &head) == 0
                             && !new_rising
                                 .get(&head_rel)
-                                .map(|s| s.contains_key(&t[..]))
-                                .unwrap_or(false)
+                                .is_some_and(|s| s.contains_key(&head[..]))
                         {
-                            if frozen.is_exported_id(head_rel, &t) {
+                            if frozen.is_exported_id(head_rel, &head) {
                                 // Ship-only: flagged below, never propagated.
-                                exported_new.insert((head_rel, SharedTuple::from(t)));
+                                exported_new.insert((head_rel, SharedTuple::from_slice(&head)));
                             } else {
                                 new_rising
                                     .entry(head_rel)
                                     .or_default()
-                                    .insert(SharedTuple::from(t), 1);
+                                    .insert(SharedTuple::from_slice(&head), 1);
                             }
                         }
                         Ok(true)
-                    };
-                    let seq = delta_seq(&rule.rule.body, pos);
-                    let ctx = DeltaCtx {
-                        storage: frozen,
-                        body: &rule.rule.body,
-                        body_rels: &rule.body_rels,
-                        seq: &seq,
-                        delta_at: Some(pos),
-                        delta: Some(dmap),
-                        delta_sign: 1,
-                        adjust: None,
-                        old_before_delta: false,
-                    };
-                    eval_body_delta(&ctx, 0, &Env::new(), 1, &mut sink)?;
+                    })?;
                 }
             }
             Ok((new_rising, exported_new, derivations))
@@ -2600,56 +2253,15 @@ fn rederivable(
     tuple: &SharedTuple,
     stats: &mut BatchStats,
 ) -> Result<bool> {
+    let views = Views::current(storage);
     for rule in plan.plain.iter().filter(|r| r.head == rel) {
-        // Unify the ground tuple with the head to pre-bind variables.
-        let mut env = Env::new();
-        let mut ok = true;
-        for (arg, val) in rule.rule.head.args.iter().zip(tuple.iter()) {
-            match arg {
-                HeadArg::Term(Term::Const(c)) => {
-                    if c != val {
-                        ok = false;
-                        break;
-                    }
-                }
-                HeadArg::Term(Term::Var(v)) => match env.get(v) {
-                    Some(b) if b != val => {
-                        ok = false;
-                        break;
-                    }
-                    Some(_) => {}
-                    None => {
-                        env.insert(v.clone(), val.clone());
-                    }
-                },
-                HeadArg::Agg(..) => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if !ok {
-            continue;
-        }
+        // The head-bound plan unifies the ground tuple with the head.
         let mut found = false;
-        let mut sink = |_env: &Env, _sign: i64| -> Result<bool> {
+        rule.plan.headed.run(&views, tuple, &mut |_slots, _sign| {
             stats.derivations += 1;
             found = true;
             Ok(false) // first derivation suffices
-        };
-        let seq: Vec<usize> = (0..rule.rule.body.len()).collect();
-        let ctx = DeltaCtx {
-            storage,
-            body: &rule.rule.body,
-            body_rels: &rule.body_rels,
-            seq: &seq,
-            delta_at: None,
-            delta: None,
-            delta_sign: 1,
-            adjust: None,
-            old_before_delta: false,
-        };
-        eval_body_delta(&ctx, 0, &env, 1, &mut sink)?;
+        })?;
         if found {
             return Ok(true);
         }

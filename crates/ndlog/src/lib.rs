@@ -72,6 +72,7 @@ pub mod incremental;
 pub mod lexer;
 pub mod localize;
 pub mod parser;
+mod plan;
 pub mod pool;
 pub mod programs;
 pub mod query;

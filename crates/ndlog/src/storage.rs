@@ -3,15 +3,27 @@
 //! [`RelationStorage`] is the state backbone of [`crate::incremental`]: each
 //! relation keeps
 //!
-//! * a **support map** per tuple — external (EDB) multiplicity plus a derived
-//!   support count (exact firing counts in counting strata, a 0/1 flag in
-//!   DRed strata).  A tuple is *visible* while either support is positive;
-//! * **hash indexes** on join-key column sets, registered up front from the
-//!   rule bodies' static binding patterns, so the delta-rule inner loops
-//!   probe O(1) buckets instead of scanning `BTreeSet<Tuple>` linearly;
+//! * a **support map** per tuple, sorted by tuple — external (EDB)
+//!   multiplicity plus a derived support count (exact firing counts in
+//!   counting strata, a 0/1 flag in DRed strata).  A tuple is *visible*
+//!   while either support is positive;
+//! * **hash indexes** on the probe column sets of the engine's compiled
+//!   join plans that do *not* start at column 0 (on the path-vector
+//!   program: `link` on `[1]`);
 //! * **per-relation delta sets** (`appeared` / `disappeared`) recording net
 //!   visibility changes of the current maintenance batch, with automatic
 //!   cancellation (delete-then-rederive nets to no change).
+//!
+//! # Probes
+//!
+//! [`RelationStorage::probe_id`] answers every join probe.  Bound columns
+//! with a leading run (`[0]`, `[0,1]`, `[0,1,3]`) are a prefix of the
+//! support map's order, so the probe range-scans the map on that run and
+//! checks the remaining bound columns per tuple — no index to keep up on
+//! every visibility flip.  Other column sets read their hash index (a
+//! scan when none is registered).  Every path visits tuples in sorted
+//! order, so which one answers never changes what a join fires or in
+//! which order.
 //!
 //! # Interned hot path
 //!
@@ -26,7 +38,7 @@
 //!
 //! The delta sets double as *old-view adjustments*: evaluating a literal
 //! against "the database before this batch/round" is `current minus deltas`,
-//! which [`RelationStorage::matches_adjusted_id`] and
+//! which [`RelationStorage::probe_id`] and
 //! [`RelationStorage::contains_adjusted_id`] compute without materializing a
 //! second database.
 //!
@@ -42,6 +54,8 @@ use crate::eval::Database;
 use crate::symbols::{RelId, Symbols};
 use crate::value::{SharedTuple, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::convert::Infallible;
+use std::ops::Bound;
 
 /// Signed net visibility changes per relation id: `+1` appeared, `-1`
 /// disappeared.  Used both as batch output and as old-view adjustment.
@@ -113,6 +127,40 @@ impl StoredRelation {
     }
 }
 
+/// The tuple of a support update: borrowed values, or a shared handle the
+/// store keeps as the key of a tuple it has not seen yet.
+#[derive(Clone, Copy)]
+enum Key<'t> {
+    Values(&'t [Value]),
+    Shared(&'t SharedTuple),
+}
+
+impl Key<'_> {
+    fn values(&self) -> &[Value] {
+        match self {
+            Key::Values(t) => t,
+            Key::Shared(t) => t,
+        }
+    }
+
+    fn to_shared(self) -> SharedTuple {
+        match self {
+            Key::Values(t) => SharedTuple::from_slice(t),
+            Key::Shared(t) => t.clone(),
+        }
+    }
+}
+
+/// Length of the leading run of a sorted column set: the number of its
+/// first entries equal to their own position (`[0,1,3]` has run 2, `[1]`
+/// run 0).  A probe on such a run is a prefix of the support map's order.
+fn leading_run(cols: &[usize]) -> usize {
+    cols.iter()
+        .enumerate()
+        .take_while(|&(i, &c)| c == i)
+        .count()
+}
+
 /// Record a visibility transition in a pair of batch delta sets, cancelling
 /// opposite transitions of the same tuple.
 fn mark_change(
@@ -145,13 +193,16 @@ fn mark_change(
 /// use ndlog::Value;
 ///
 /// let mut store = RelationStorage::new();
-/// store.register_index("edge", &[0]);
+/// store.register_index("edge", &[1]);
 /// let e = |a: i64, b: i64| vec![Value::Int(a), Value::Int(b)];
 /// store.add_edb("edge", &e(1, 2), 1);
 /// store.add_edb("edge", &e(1, 3), 1);
-/// // O(1) index probe on the first column:
+/// // A probe on the first column range-scans the sorted support map:
 /// let hits = store.matches_adjusted("edge", &[0], &[Value::Int(1)], None);
 /// assert_eq!(hits.len(), 2);
+/// // One on the second column reads the hash index registered for it:
+/// let hits = store.matches_adjusted("edge", &[1], &[Value::Int(3)], None);
+/// assert_eq!(hits.len(), 1);
 /// // Supports are counted: a second assertion survives one retraction.
 /// store.add_edb("edge", &e(1, 2), 1);
 /// store.add_edb("edge", &e(1, 2), -1);
@@ -215,8 +266,10 @@ impl RelationStorage {
     }
 
     /// Register a hash index on `cols` (sorted argument positions) of
-    /// `pred`.  Idempotent; an empty column set is ignored (that case is a
-    /// full scan by definition).  Existing visible tuples are back-filled.
+    /// `pred`.  Idempotent; existing visible tuples are back-filled.  A set
+    /// starting at column 0 is ignored: [`Self::probe_id`] answers it by a
+    /// range scan over the sorted support map.  So is the empty set (a
+    /// full scan by definition).
     pub fn register_index(&mut self, pred: &str, cols: &[usize]) {
         let id = self.rel_id(pred);
         self.register_index_id(id, cols);
@@ -224,7 +277,7 @@ impl RelationStorage {
 
     /// Id form of [`Self::register_index`].
     pub fn register_index_id(&mut self, rel: RelId, cols: &[usize]) {
-        if cols.is_empty() {
+        if leading_run(cols) > 0 || cols.is_empty() {
             return;
         }
         let r = &mut self.rels[rel.index()];
@@ -292,9 +345,10 @@ impl RelationStorage {
     /// case performs exactly one map lookup and **zero** allocations.
     fn apply_support(
         map: &mut BTreeMap<SharedTuple, Support>,
-        tuple: &[Value],
+        key: Key<'_>,
         f: impl FnOnce(&mut Support),
     ) -> (bool, bool, Option<SharedTuple>) {
+        let tuple = key.values();
         match map.get_mut(tuple) {
             Some(s) => {
                 let was = s.visible();
@@ -315,7 +369,7 @@ impl RelationStorage {
                 f(&mut s);
                 let now = s.visible();
                 if s.edb != 0 || s.derived != 0 {
-                    let k = SharedTuple::from_slice(tuple);
+                    let k = key.to_shared();
                     map.insert(k.clone(), s);
                     (false, now, Some(k))
                 } else {
@@ -328,7 +382,7 @@ impl RelationStorage {
     fn update_support(
         &mut self,
         rel: RelId,
-        tuple: &[Value],
+        tuple: Key<'_>,
         f: impl FnOnce(&mut Support),
     ) -> VisibilityChange {
         let r = &mut self.rels[rel.index()];
@@ -361,7 +415,7 @@ impl RelationStorage {
     fn update_exported(
         &mut self,
         rel: RelId,
-        tuple: &[Value],
+        tuple: Key<'_>,
         f: impl FnOnce(&mut Support),
     ) -> VisibilityChange {
         let r = &mut self.rels[rel.index()];
@@ -397,7 +451,7 @@ impl RelationStorage {
 
     /// Id form of [`Self::add_edb`].
     pub fn add_edb_id(&mut self, rel: RelId, tuple: &[Value], k: i64) -> VisibilityChange {
-        self.update_support(rel, tuple, |s| s.edb = (s.edb + k).max(0))
+        self.update_support(rel, Key::Values(tuple), |s| s.edb = (s.edb + k).max(0))
     }
 
     /// Adjust a tuple's derived support count by `k` (counting strata).
@@ -408,7 +462,39 @@ impl RelationStorage {
 
     /// Id form of [`Self::add_derived`].
     pub fn add_derived_id(&mut self, rel: RelId, tuple: &[Value], k: i64) -> VisibilityChange {
+        self.add_derived_key(rel, Key::Values(tuple), k)
+    }
+
+    /// [`Self::add_derived_id`] for a tuple the caller already holds as a
+    /// shared handle: a tuple new to the store keeps that handle as its
+    /// key instead of copying the values.
+    pub fn add_derived_shared(
+        &mut self,
+        rel: RelId,
+        tuple: &SharedTuple,
+        k: i64,
+    ) -> VisibilityChange {
+        self.add_derived_key(rel, Key::Shared(tuple), k)
+    }
+
+    /// Set a tuple's derived support count to `k` (native operators
+    /// install exact firing counts); a new tuple keeps the handle as its
+    /// key.
+    pub fn set_derived_shared(
+        &mut self,
+        rel: RelId,
+        tuple: &SharedTuple,
+        k: i64,
+    ) -> VisibilityChange {
         if self.is_exported_id(rel, tuple) {
+            self.update_exported(rel, Key::Shared(tuple), |s| s.derived = k)
+        } else {
+            self.update_support(rel, Key::Shared(tuple), |s| s.derived = k)
+        }
+    }
+
+    fn add_derived_key(&mut self, rel: RelId, tuple: Key<'_>, k: i64) -> VisibilityChange {
+        if self.is_exported_id(rel, tuple.values()) {
             self.update_exported(rel, tuple, |s| s.derived += k)
         } else {
             self.update_support(rel, tuple, |s| s.derived += k)
@@ -428,10 +514,11 @@ impl RelationStorage {
         tuple: &[Value],
         on: bool,
     ) -> VisibilityChange {
+        let key = Key::Values(tuple);
         if self.is_exported_id(rel, tuple) {
-            self.update_exported(rel, tuple, |s| s.derived = i64::from(on))
+            self.update_exported(rel, key, |s| s.derived = i64::from(on))
         } else {
-            self.update_support(rel, tuple, |s| s.derived = i64::from(on))
+            self.update_support(rel, key, |s| s.derived = i64::from(on))
         }
     }
 
@@ -650,8 +737,8 @@ impl RelationStorage {
     }
 
     /// Visible tuples of `pred` whose values at `cols` equal `key`, in the
-    /// view `current minus deltas` (see [`Self::contains_adjusted`]).  Uses
-    /// the hash index registered for `cols` when available, else scans.
+    /// view `current minus deltas` (see [`Self::contains_adjusted`]), in
+    /// the order [`Self::probe_id`] visits them.
     pub fn matches_adjusted<'a>(
         &'a self,
         pred: &str,
@@ -690,80 +777,100 @@ impl RelationStorage {
         minus: Option<&'a SignedDeltas>,
         out: &mut Vec<&'a SharedTuple>,
     ) {
+        let Ok(_) = self.probe_id(rel, cols, key, minus, |t| {
+            out.push(t);
+            Ok::<_, Infallible>(true)
+        });
+    }
+
+    /// Visit the tuples of `rel` whose values at the sorted positions
+    /// `cols` equal `key`, in the view `current minus deltas`, until `f`
+    /// returns `Ok(false)` (the result is then `Ok(false)`) or an error.
+    ///
+    /// The bound columns pick the access path:
+    ///
+    /// * a set starting at column 0 ranges over the sorted support map on
+    ///   its leading run (`[0,1,3]` ranges on `[0,1]` and checks column 3
+    ///   per tuple) — no index to keep up;
+    /// * any other non-empty set reads the hash index registered for it,
+    ///   or scans the relation when none is;
+    /// * the empty set scans the relation.
+    ///
+    /// Every path visits the current tuples in sorted order, then the
+    /// tuples the deltas deleted (still part of the old view), also
+    /// sorted — so the order never depends on which path answered.
+    pub fn probe_id<'a, E>(
+        &'a self,
+        rel: RelId,
+        cols: &[usize],
+        key: &[Value],
+        minus: Option<&'a SignedDeltas>,
+        mut f: impl FnMut(&'a SharedTuple) -> Result<bool, E>,
+    ) -> Result<bool, E> {
         let dm = minus.and_then(|m| m.get(&rel));
         let r = self.rel(rel);
-        let from_index = (!cols.is_empty())
-            .then(|| r.indexes.get(cols))
-            .flatten()
-            .map(|ix| ix.get(key));
-        match from_index {
-            Some(bucket) => {
-                for t in bucket.into_iter().flatten() {
-                    if dm.and_then(|d| d.get(t.values())).copied().unwrap_or(0) <= 0 {
-                        out.push(t);
-                    }
+        let run = leading_run(cols);
+        let rest_matches = |t: &[Value]| {
+            cols[run..]
+                .iter()
+                .zip(&key[run..])
+                .all(|(&c, k)| t.get(c) == Some(k))
+        };
+        // An entry the deltas mark as appeared is not part of the old view.
+        let in_view =
+            |t: &SharedTuple| dm.and_then(|d| d.get(t.values())).copied().unwrap_or(0) <= 0;
+        if run > 0 {
+            let prefix = &key[..run];
+            for (t, s) in r
+                .support
+                .range::<[Value], _>((Bound::Included(prefix), Bound::Unbounded))
+            {
+                if t.get(..run) != Some(prefix) {
+                    break;
+                }
+                if s.visible() && rest_matches(t) && in_view(t) && !f(t)? {
+                    return Ok(false);
                 }
             }
-            None => {
-                // No index registered for this column set: filter a scan.
-                for (t, s) in &r.support {
-                    if s.visible()
-                        && cols
-                            .iter()
-                            .enumerate()
-                            .all(|(i, &c)| t.get(c) == key.get(i))
-                        && dm.and_then(|d| d.get(t.values())).copied().unwrap_or(0) <= 0
-                    {
-                        out.push(t);
-                    }
+        } else if let Some(ix) = r.indexes.get(cols) {
+            for t in ix.get(key).into_iter().flatten() {
+                if in_view(t) && !f(t)? {
+                    return Ok(false);
+                }
+            }
+        } else {
+            for (t, s) in &r.support {
+                if s.visible() && rest_matches(t) && in_view(t) && !f(t)? {
+                    return Ok(false);
                 }
             }
         }
-        // Tuples deleted this batch/round are part of the old view.  When
-        // the bound columns start with a run of leading tuple positions
-        // (`cols` is sorted, so [0,1,3] has the run [0,1]), a sorted-range
-        // scan over that run replaces the full delta iteration, with the
-        // remaining columns checked per candidate — overdeletion and
-        // counting maintenance probe this on every inner-loop join, so the
-        // difference is quadratic vs near-linear in the batch size.
+        // Tuples deleted this batch/round are part of the old view; a
+        // leading run ranges over the sorted delta map the same way.
         if let Some(d) = dm {
-            let run = cols
-                .iter()
-                .enumerate()
-                .take_while(|&(i, &c)| c == i)
-                .count();
+            let deleted = |t: &SharedTuple, sign: i64| {
+                sign < 0 && !self.contains_id(rel, t) && rest_matches(t)
+            };
             if run > 0 {
-                for (t, sign) in d.range::<[Value], _>((
-                    std::ops::Bound::Included(&key[..run]),
-                    std::ops::Bound::Unbounded,
-                )) {
-                    if t.get(..run) != Some(&key[..run]) {
+                let prefix = &key[..run];
+                for (t, &sign) in d.range::<[Value], _>((Bound::Included(prefix), Bound::Unbounded))
+                {
+                    if t.get(..run) != Some(prefix) {
                         break;
                     }
-                    if *sign < 0
-                        && !self.contains_id(rel, t)
-                        && cols[run..]
-                            .iter()
-                            .zip(&key[run..])
-                            .all(|(&c, k)| t.get(c) == Some(k))
-                    {
-                        out.push(t);
+                    if deleted(t, sign) && !f(t)? {
+                        return Ok(false);
                     }
                 }
             } else {
-                for (t, sign) in d {
-                    if *sign < 0
-                        && !self.contains_id(rel, t)
-                        && cols
-                            .iter()
-                            .enumerate()
-                            .all(|(i, &c)| t.get(c) == key.get(i))
-                    {
-                        out.push(t);
+                for (t, &sign) in d {
+                    if deleted(t, sign) && !f(t)? {
+                        return Ok(false);
                     }
                 }
             }
         }
+        Ok(true)
     }
 
     /// The net visibility changes recorded for one relation this batch.
@@ -945,6 +1052,74 @@ mod tests {
         // Unindexed column set falls back to a scan with the same answer.
         let scan = s.matches_adjusted("e", &[1], &[Value::Int(3)], None);
         assert_eq!(scan.len(), 2);
+    }
+
+    /// Every access path — prefix range, hash index, scan — returns what
+    /// filtering the old view by hand returns, in the same sorted order:
+    /// current tuples first, then the ones the deltas deleted.
+    #[test]
+    fn probe_paths_agree_with_a_filtered_old_view() {
+        let mut s = RelationStorage::new();
+        s.register_index("e", &[1]);
+        s.register_index("e", &[1, 2]);
+        let all: Vec<Tuple> = (0..4)
+            .flat_map(|a| (0..3).flat_map(move |b| (0..2).map(move |c| t(&[a, b, c]))))
+            .collect();
+        for (i, tu) in all.iter().enumerate() {
+            if i % 3 != 0 {
+                s.add_edb("e", tu, 1);
+            }
+        }
+        s.take_changes();
+        for (i, tu) in all.iter().enumerate() {
+            match i % 5 {
+                0 if i % 3 != 0 => {
+                    s.add_edb("e", tu, -1);
+                }
+                1 if i % 3 == 0 => {
+                    s.add_edb("e", tu, 1);
+                }
+                _ => {}
+            }
+        }
+        let deltas = s.batch_deltas();
+        let e = s.symbols().lookup("e").unwrap();
+        for minus in [None, Some(&deltas)] {
+            let in_view = |tu: &Tuple| s.contains_adjusted_id(e, tu, minus);
+            for cols in [
+                vec![],
+                vec![0],
+                vec![0, 1],
+                vec![0, 2],
+                vec![1],
+                vec![1, 2],
+                vec![2],
+            ] {
+                for probe in &all {
+                    let key: Vec<Value> = cols.iter().map(|&c| probe[c].clone()).collect();
+                    let hits = |tu: &&Tuple| cols.iter().zip(&key).all(|(&c, k)| tu[c] == *k);
+                    let mut want: Vec<&Tuple> = all
+                        .iter()
+                        .filter(hits)
+                        .filter(|tu| in_view(tu) && s.contains_id(e, tu))
+                        .collect();
+                    want.extend(
+                        all.iter()
+                            .filter(hits)
+                            .filter(|tu| in_view(tu) && !s.contains_id(e, tu)),
+                    );
+                    let got = s.matches_adjusted_id(e, &cols, &key, minus);
+                    let got: Vec<&[Value]> = got.iter().map(|tu| tu.values()).collect();
+                    let want: Vec<&[Value]> = want.iter().map(|tu| &tu[..]).collect();
+                    assert_eq!(
+                        got,
+                        want,
+                        "cols {cols:?} key {key:?} old view {}",
+                        minus.is_some()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -45,6 +45,7 @@ use crate::incremental::{
     BatchStats, EngineSnapshot, IncrementalEngine, Maintenance, RelDelta, TupleDelta,
 };
 use crate::query::{Query, QueryEngine, QueryResult};
+use crate::safety::Analysis;
 use crate::sharded::ShardRouter;
 use crate::storage::RelationStorage;
 use crate::symbols::{RelId, Symbols};
@@ -170,6 +171,17 @@ impl Update {
             rel: rel.into(),
             tuple,
             deadline,
+        }
+    }
+
+    /// The relation this update changes and the arity of its tuples.
+    fn schema(&self) -> (&str, usize) {
+        match self {
+            Update::Assert { pred, tuple } | Update::Retract { pred, tuple } => (pred, tuple.len()),
+            Update::Expire { rel, tuple, .. } => (rel, tuple.len()),
+            Update::LinkUp { .. } | Update::LinkDown { .. } | Update::MetricChange { .. } => {
+                (LINK_PRED, 3)
+            }
         }
     }
 
@@ -660,6 +672,13 @@ enum Backend {
 }
 
 impl Backend {
+    fn analysis(&self) -> &Analysis {
+        match self {
+            Backend::Incremental { engine, .. } => engine.analysis(),
+            Backend::Oracle { ev, .. } => ev.analysis(),
+        }
+    }
+
     fn intern(&mut self, pred: &str) -> RelId {
         match self {
             Backend::Incremental { engine, .. } => engine.rel_id(pred),
@@ -696,8 +715,10 @@ impl Backend {
             } => {
                 for d in deltas {
                     let m = edb.entry(d.rel).or_default();
+                    // Floored at zero like the incremental store's base
+                    // multiplicity: retracting an absent tuple is a no-op.
                     let c = m.entry(d.tuple.clone()).or_insert(0);
-                    *c += d.delta;
+                    *c = (*c + d.delta).max(0);
                     if *c == 0 {
                         m.remove(&d.tuple);
                     }
@@ -916,6 +937,31 @@ impl Session {
             self.metrics.ttl_expired.add(expired);
             self.metrics.pending.set(self.pending.len() as i64);
         }
+    }
+
+    /// Reject updates that do not fit the analysed program: unknown
+    /// relations and tuples of the wrong arity.
+    fn check_schema(&self, updates: &[Update]) -> Result<()> {
+        let arity = &self.backend.analysis().arity;
+        for u in updates {
+            let (pred, n) = u.schema();
+            match arity.get(pred) {
+                None => {
+                    return Err(NdlogError::Schema {
+                        predicate: pred.to_string(),
+                        msg: "the program never mentions this relation".into(),
+                    })
+                }
+                Some(&m) if m != n => {
+                    return Err(NdlogError::Schema {
+                        predicate: pred.to_string(),
+                        msg: format!("update tuple has arity {n}, the program uses arity {m}"),
+                    })
+                }
+                Some(_) => {}
+            }
+        }
+        Ok(())
     }
 
     /// Commit a compiled update list (the [`Txn::commit`] back end).
@@ -1340,8 +1386,13 @@ impl Txn<'_> {
     /// session: flushed immediately when unbatched, buffered into the open
     /// window otherwise.  Expirations (explicit or TTL-generated) go to the
     /// expiry queue.
+    ///
+    /// An update naming a relation the program never mentions, or carrying
+    /// a tuple whose arity differs from the relation's, fails the whole
+    /// transaction with [`NdlogError::Schema`] before any state changes.
     pub fn commit(self) -> Result<CommitOutcome> {
         let Txn { session, updates } = self;
+        session.check_schema(&updates)?;
         session.commit_updates(updates)
     }
 }
@@ -1618,5 +1669,46 @@ mod tests {
         s.advance(4).unwrap();
         assert_eq!(s.stats().flushes, 1);
         assert_eq!(s.stats().updates, 2);
+    }
+
+    #[test]
+    fn retracting_an_absent_base_tuple_is_a_no_op_on_both_backends() {
+        let prog = pv(&[(0, 1, 1)]);
+        let link = vec![addr(1), addr(2), Value::Int(3)];
+        for mut s in [
+            Session::open(&prog).build().unwrap(),
+            Session::open(&prog).oracle().unwrap(),
+        ] {
+            s.txn().retract("link", link.clone()).commit().unwrap();
+            s.txn().assert("link", link.clone()).commit().unwrap();
+            assert!(s.contains("link", &link), "the floored multiset holds it");
+        }
+    }
+
+    #[test]
+    fn commit_rejects_unknown_relations_and_wrong_arities_untouched() {
+        let prog = pv(&[(0, 1, 1)]);
+        for mut s in [
+            Session::open(&prog).build().unwrap(),
+            Session::open(&prog).oracle().unwrap(),
+        ] {
+            let before = (s.database(), s.stats(), s.symbols().len());
+            let bad = [
+                Update::assert("lnk", vec![addr(0), addr(1), Value::Int(1)]),
+                Update::assert("link", vec![addr(0), addr(1)]),
+                Update::expire("path", vec![addr(0)], 5),
+            ];
+            for u in bad {
+                let err = s
+                    .txn()
+                    .link_up(0, 2, 1)
+                    .push(u.clone())
+                    .commit()
+                    .unwrap_err();
+                assert!(matches!(err, NdlogError::Schema { .. }), "{u:?}: {err:?}");
+            }
+            assert_eq!((s.database(), s.stats(), s.symbols().len()), before);
+            assert_eq!(s.pending(), 0);
+        }
     }
 }

@@ -365,14 +365,22 @@ fn native_recognizer_matches_golden_snapshot() {
         }
 
         // Runtime pin: drive one churn batch so every recursive stratum is
-        // exercised, then check the counters agree with the plan set.
+        // exercised, then check the counters agree with the plan set.  The
+        // batch retracts a base tuple of the program's own edge relation
+        // (commits reject relations a program never mentions).
         let mut session = session;
-        session
-            .txn()
-            .retract("link", link(0, 1, 1))
-            .retract("link", link(1, 0, 1))
-            .commit()
-            .unwrap();
+        let txn = if prog.facts.iter().any(|f| f.pred == "link") {
+            session
+                .txn()
+                .retract("link", link(0, 1, 1))
+                .retract("link", link(1, 0, 1))
+        } else {
+            let fact = &prog.facts[0];
+            session
+                .txn()
+                .retract(fact.pred.clone(), fact.const_tuple().unwrap())
+        };
+        txn.commit().unwrap();
         let snap = session.metrics();
         let invocations = snap.counter("ndlog_algo_invocations_total").unwrap_or(0);
         let fallbacks = snap.counter("ndlog_algo_fallbacks_total").unwrap_or(0);
